@@ -157,7 +157,9 @@ class PPDSession:
         self.events_generated += len(result.events)
         self.builder.add_events(result.events)
         self._trace_of_sync.update(result.trace_of_sync)
-        self.builder.add_sync_edges(self.record.history, self._trace_of_sync)
+        self.builder.add_sync_edges(
+            self.record.history, self._trace_of_sync, result.trace_of_sync.keys()
+        )
         return result
 
     def _replay_base0(self, pid: int, interval_id: int) -> ReplayResult:

@@ -187,6 +187,10 @@ class DynamicGraphBuilder:
         #: call event uid -> (enter uid, ret uid) once seen
         self._call_spans: dict[int, list[int]] = {}
         self._open_calls: dict[int, int] = {}  # enter frame uid -> call uid
+        #: incremental sync-edge splicing: history uid -> positions of the
+        #: history edges touching it (built on first use; one builder
+        #: serves one record's history)
+        self._sync_edges_at: Optional[dict[int, list[int]]] = None
 
     def _build_static_control_deps(self) -> dict[str, dict[int, list[tuple[int, str]]]]:
         from ..analysis.postdom import control_dependence
@@ -215,26 +219,11 @@ class DynamicGraphBuilder:
 
     def add_events(self, events: Iterable[TraceEvent]) -> None:
         """Fold a batch of trace events into the graph."""
+        handlers = self._HANDLERS
         for event in events:
-            self._add_event(event)
-
-    def _add_event(self, event: TraceEvent) -> None:
-        handler = {
-            EV_STMT: self._on_stmt,
-            EV_PRED: self._on_pred,
-            EV_CALL: self._on_call,
-            EV_ENTER: self._on_enter,
-            EV_RET: self._on_ret,
-            "sync": self._on_sync,
-            EV_INPUT: self._on_input,
-            EV_PRINT: self._on_simple,
-            EV_ASSERT: self._on_simple,
-            EV_SUBGRAPH: self._on_replay_subgraph,
-            EV_EXTERN: self._on_extern,
-        }.get(event.kind)
-        if handler is None:
-            return
-        handler(event)
+            handler = handlers.get(event.kind)
+            if handler is not None:
+                handler(self, event)
 
     # -- per-kind handlers ---------------------------------------------------
 
@@ -495,19 +484,62 @@ class DynamicGraphBuilder:
         )
         # No flow edge: externs are not local events, they annotate state.
 
+    #: event kind -> handler; kinds without one add nothing.  A class-level
+    #: table of plain functions: bound methods stored on the instance would
+    #: make every builder (and its graph) a reference cycle that only the
+    #: cyclic collector frees.
+    _HANDLERS = {
+        EV_STMT: _on_stmt,
+        EV_PRED: _on_pred,
+        EV_CALL: _on_call,
+        EV_ENTER: _on_enter,
+        EV_RET: _on_ret,
+        "sync": _on_sync,
+        EV_INPUT: _on_input,
+        EV_PRINT: _on_simple,
+        EV_ASSERT: _on_simple,
+        EV_SUBGRAPH: _on_replay_subgraph,
+        EV_EXTERN: _on_extern,
+    }
+
     # ------------------------------------------------------------------
 
     def add_sync_edges(
-        self, history, trace_of_sync: dict[int, int]
+        self,
+        history,
+        trace_of_sync: dict[int, int],
+        new_uids: Optional[Iterable[int]] = None,
     ) -> int:
-        """Translate synchronization-history edges onto trace events."""
+        """Translate synchronization-history edges onto trace events.
+
+        Without *new_uids*, every history edge is translated in one pass
+        (a whole trace at once).  Incrementally, *new_uids* names the
+        history uids the latest replay mapped: only the history edges
+        touching them can have become translatable, so only those are
+        looked at, in history order, through an endpoint index built on
+        the first such call.  Each such edge has an endpoint among that
+        replay's fresh trace uids, so no ``(src, dst, label)`` sync edge
+        is ever added twice.  Returns the number of edges added.
+        """
+        if new_uids is None:
+            edges = history.edges
+        else:
+            index = self._sync_edges_at
+            if index is None:
+                index = self._sync_edges_at = {}
+                for position, edge in enumerate(history.edges):
+                    index.setdefault(edge.src_uid, []).append(position)
+                    if edge.dst_uid != edge.src_uid:
+                        index.setdefault(edge.dst_uid, []).append(position)
+            positions = {position for uid in new_uids for position in index.get(uid, ())}
+            edges = [history.edges[position] for position in sorted(positions)]
+        nodes = self.graph.nodes
         added = 0
-        for edge in history.edges:
+        for edge in edges:
             src = trace_of_sync.get(edge.src_uid)
             dst = trace_of_sync.get(edge.dst_uid)
-            if src is None or dst is None:
+            if src is None or dst is None or src not in nodes or dst not in nodes:
                 continue
-            if src in self.graph.nodes and dst in self.graph.nodes:
-                self.graph.add_edge(src, dst, SYNC_EDGE, edge.label)
-                added += 1
+            self.graph.add_edge(src, dst, SYNC_EDGE, edge.label)
+            added += 1
         return added

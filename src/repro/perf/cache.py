@@ -52,20 +52,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def record_digest(record: "ExecutionRecord") -> str:
-    """A stable content digest of an execution record.
+    """The cache key of an execution record: its content digest.
 
-    Two records with identical persisted form (same program, seed, logs,
-    history, stop reason) share replay results — that is what makes the
-    cache survive session eviction/rehydration cycles.  The digest is
-    computed once per record object and stashed on it.
+    This is the SHA-256 content digest of the record's persisted
+    envelope (:func:`repro.runtime.persist.record_content_digest`) — the
+    same value a saved record carries and ``load_record`` verifies.  Two
+    records with identical persisted form (same program, seed, logs,
+    history, stop reason) share replay results, which is what makes the
+    cache survive session eviction/rehydration cycles and process
+    restarts.  A loaded or saved record already carries the digest; only
+    a never-serialised record pays one pass over its body, once.
     """
-    cached = getattr(record, "_ppd_digest", None)
-    if cached is None:
-        from ..runtime.persist import record_to_json
+    from ..runtime.persist import record_content_digest
 
-        cached = hashlib.sha256(record_to_json(record).encode("utf-8")).hexdigest()[:24]
-        record._ppd_digest = cached  # type: ignore[attr-defined]
-    return cached
+    return record_content_digest(record)
 
 
 @dataclass

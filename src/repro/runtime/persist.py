@@ -112,39 +112,46 @@ _ENTRY_TYPES: dict[str, type[LogEntry]] = {
     for cls in (Prelog, Postlog, SyncPrelog, InputLog, SyncLog, SpawnLog)
 }
 
+#: Per entry class, its payload field names (every dataclass field but the
+#: ``timestamp``/``pid`` metadata), in declaration order.
+_ENTRY_FIELDS: dict[type[LogEntry], tuple[str, ...]] = {
+    cls: tuple(
+        f.name for f in dataclasses.fields(cls) if f.name not in ("timestamp", "pid")
+    )
+    for cls in _ENTRY_TYPES.values()
+}
+
 
 def _entry_to_json(entry: LogEntry) -> dict[str, Any]:
     body = {"kind": entry.kind, "t": entry.timestamp, "pid": entry.pid}
-    for field in dataclasses.fields(entry):
-        if field.name in ("timestamp", "pid"):
-            continue
-        value = getattr(entry, field.name)
+    for name in _ENTRY_FIELDS[type(entry)]:
+        value = getattr(entry, name)
         if isinstance(value, dict):
             value = {str(k): encode_value(v) for k, v in value.items()}
         elif isinstance(value, list):
             value = [encode_value(v) for v in value]
         else:
             value = encode_value(value)
-        body[field.name] = value
+        body[name] = value
     return body
 
 
 def _entry_from_json(body: dict[str, Any]) -> LogEntry:
     cls = _ENTRY_TYPES[body["kind"]]
     kwargs: dict[str, Any] = {"timestamp": body["t"], "pid": body["pid"]}
-    for field in dataclasses.fields(cls):
-        if field.name in ("timestamp", "pid") or field.name not in body:
+    for name in _ENTRY_FIELDS[cls]:
+        if name not in body:
             continue
-        value = body[field.name]
-        if field.name in ("values",):
+        value = body[name]
+        if name == "values":
             value = {k: decode_value(v) for k, v in value.items()}
-        elif field.name == "clock":
+        elif name == "clock":
             value = {int(k): v for k, v in value.items()}
         elif isinstance(value, list):
             value = [decode_value(v) for v in value]
         else:
             value = decode_value(value)
-        kwargs[field.name] = value
+        kwargs[name] = value
     return cls(**kwargs)
 
 
@@ -222,10 +229,38 @@ def _history_from_json(body: dict[str, Any]) -> SyncHistory:
 
 
 def record_to_json(record: ExecutionRecord) -> str:
-    """Serialise a logged execution record as one JSON document."""
+    """Serialise a logged execution record as one JSON document.
+
+    The envelope's content digest is also stashed on *record*, so
+    :func:`record_content_digest` never has to serialise it again."""
+    body = _record_body(record)
+    body["digest"] = record._ppd_digest = _content_digest(body)  # type: ignore[attr-defined]
+    return json.dumps(body, separators=(",", ":"))
+
+
+def record_content_digest(record: ExecutionRecord) -> str:
+    """The SHA-256 content digest of *record*'s persisted envelope.
+
+    Read from the stash that :func:`record_to_json` (save, server spool)
+    and :func:`record_from_json` (after verifying the envelope's digest)
+    leave on the record.  A record that has neither — a fresh run never
+    serialised, or one loaded from a legacy envelope without a digest —
+    gets the content digest of its body computed once, then stashed.
+    Equal persisted content gives an equal digest, so the value is a
+    content address that survives save/load and pickling.
+    """
+    digest = getattr(record, "_ppd_digest", None)
+    if digest is None:
+        digest = _content_digest(_record_body(record))
+        record._ppd_digest = digest  # type: ignore[attr-defined]
+    return digest
+
+
+def _record_body(record: ExecutionRecord) -> dict[str, Any]:
+    """The envelope of *record* without its ``digest``."""
     if record.mode != "logged":
         raise ValueError("only 'logged' records are worth persisting")
-    body = {
+    return {
         "version": FORMAT_VERSION,
         "source": record.compiled.program.source,
         "policy": dataclasses.asdict(record.compiled.policy),
@@ -254,8 +289,6 @@ def record_to_json(record: ExecutionRecord) -> str:
         "sync_state": dataclasses.asdict(record.sync_state),
         "inputs_consumed": record.inputs_consumed,
     }
-    body["digest"] = _content_digest(body)
-    return json.dumps(body, separators=(",", ":"))
 
 
 def _content_digest(body: dict[str, Any]) -> str:
@@ -305,14 +338,17 @@ def record_from_json(text: str, *, path: str | None = None) -> ExecutionRecord:
     # Content digest, verified after the structural parse so structural
     # breakage keeps its precise field-naming diagnostics.  Records
     # written before the digest entered the envelope still load.
+    # Once verified, the digest is stashed as the record's content address.
     claimed = body.get("digest")
-    if claimed is not None and claimed != _content_digest(body):
-        raise RecordDigestError(
-            "corrupt record: content digest mismatch "
-            "(bit rot, tampering, or a torn write)",
-            path=path,
-            field="digest",
-        )
+    if claimed is not None:
+        if claimed != _content_digest(body):
+            raise RecordDigestError(
+                "corrupt record: content digest mismatch "
+                "(bit rot, tampering, or a torn write)",
+                path=path,
+                field="digest",
+            )
+        record._ppd_digest = claimed  # type: ignore[attr-defined]
     return record
 
 
