@@ -48,8 +48,8 @@ program, exiting non-zero on error-severity findings.  ``ppd localize
 group's consensus (:mod:`repro.analysis.localize`), exiting non-zero
 when a suspect is found.  ``ppd disasm
 <file> [--proc NAME]`` prints the :mod:`repro.vm` bytecode lowering, and
-``--engine {interp,vm}`` on ``replay``/``connect`` selects the
-execution engine.
+``--engine {interp,vm}`` on ``replay``/``localize``/``connect`` selects
+the execution engine (default: the bytecode VM).
 """
 
 from __future__ import annotations
@@ -538,8 +538,9 @@ def _build_parser():  # pragma: no cover - exercised via main()
     replay.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent replay cache directory: a re-run over "
                              "the same record starts warm (env: PPD_CACHE_DIR)")
-    replay.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                        help="execution engine for e-block re-execution (repro.vm)")
+    replay.add_argument("--engine", choices=("interp", "vm"), default=None,
+                        help="execution engine for e-block re-execution "
+                             "(default: the bytecode VM)")
     _add_fault_flags(replay)
 
     disasm = sub.add_parser(
@@ -595,8 +596,9 @@ def _build_parser():  # pragma: no cover - exercised via main()
                           help="scheduler seed for program runs")
     localize.add_argument("--inputs", default=None, metavar="A,B,...",
                           help="comma-separated integer inputs for program runs")
-    localize.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                          help="execution engine for program runs")
+    localize.add_argument("--engine", choices=("interp", "vm"), default=None,
+                          help="execution engine for program runs "
+                               "(default: the bytecode VM)")
     localize.add_argument("--top", type=int, default=3, metavar="K",
                           help="suspects to report (default 3)")
     localize.add_argument("--json", action="store_true", dest="as_json",
@@ -617,8 +619,9 @@ def _build_parser():  # pragma: no cover - exercised via main()
     connect.add_argument("--seed", type=int, default=0, help="scheduler seed for --program")
     connect.add_argument("--inputs", default=None, metavar="A,B,...",
                          help="comma-separated integer inputs for --program")
-    connect.add_argument("--engine", choices=("interp", "vm"), default="interp",
-                         help="execution engine for --program runs on the server")
+    connect.add_argument("--engine", choices=("interp", "vm"), default=None,
+                         help="execution engine for --program runs on the server "
+                              "(default: the server's, the bytecode VM)")
     return parser
 
 

@@ -350,23 +350,42 @@ class Program(Node):
 # --------------------------------------------------------------------------
 
 
+#: node class -> names of its fields that may hold child nodes (every
+#: field but the position triple every Node carries)
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_nodes(node: Node) -> list[Node]:
+    """The direct child nodes of *node* in source order."""
+    names = _CHILD_FIELDS.get(type(node))
+    if names is None:
+        names = _CHILD_FIELDS[type(node)] = tuple(
+            f.name for f in dataclasses.fields(node) if f.name not in ("node_id", "line", "column")
+        )
+    children = []
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            children.append(value)
+        elif isinstance(value, list):
+            children.extend(item for item in value if isinstance(item, Node))
+    return children
+
+
 def iter_child_nodes(node: Node) -> Iterator[Node]:
     """Yield the direct child nodes of *node* in source order."""
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
-        if isinstance(value, Node):
-            yield value
-        elif isinstance(value, list):
-            for item in value:
-                if isinstance(item, Node):
-                    yield item
+    return iter(_child_nodes(node))
 
 
 def walk(node: Node) -> Iterator[Node]:
     """Yield *node* and all its descendants, depth-first, in source order."""
-    yield node
-    for child in iter_child_nodes(node):
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _child_nodes(node)
+        children.reverse()
+        stack.extend(children)
 
 
 def walk_statements(node: Node) -> Iterator[Stmt]:

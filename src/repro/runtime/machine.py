@@ -51,7 +51,7 @@ from .logging import (
     copy_value,
     snapshot_values,
 )
-from .process import Frame, ProcState, Process
+from .process import Frame, ProcState, Process, ReadyFlag
 from .scheduler import Scheduler
 from .sync import Lock, Semaphore, SyncToken
 from .tracing import Segment, SyncHistory, SyncNodeRec, TraceEvent, Tracer
@@ -155,9 +155,11 @@ class ExecutionRecord:
 
 
 #: Process-wide default execution engine; ``engine=None`` anywhere
-#: resolves to this.  The benchmarks' ``--engine`` flag flips it so one
-#: switch reruns the whole suite on the bytecode VM.
-DEFAULT_ENGINE = "interp"
+#: resolves to this.  The bytecode VM (with its verified fast path) runs
+#: by default; ``"interp"`` selects the tree-walking interpreter, kept as
+#: the differential oracle the vm-parity gate checks the VM against.  The
+#: benchmarks' ``--engine`` flag flips it for a whole sweep.
+DEFAULT_ENGINE = "vm"
 
 
 def resolve_engine(engine: Optional[str]) -> str:
@@ -249,6 +251,9 @@ class Machine:
         self.channels: dict[str, Channel] = {}
         self.entries: dict[str, Entry] = {}
         self.processes: dict[int, Process] = {}
+        #: set when a process enters or leaves READY, so :meth:`run`
+        #: rebuilds the ready list it hands the scheduler
+        self._ready_flag = ReadyFlag()
         self.history = SyncHistory()
         self.output: list[tuple[int, str]] = []
         self.failure: Optional[FailureInfo] = None
@@ -295,8 +300,9 @@ class Machine:
 
     def _create_process(self, proc_name: str, parent: Optional[int]) -> Process:
         pid = len(self.processes)
-        process = Process(pid=pid, proc_name=proc_name, parent=parent)
+        process = Process(pid, proc_name, parent, self._ready_flag)
         self.processes[pid] = process
+        self._ready_flag.stale = True
         return process
 
     # ------------------------------------------------------------------
@@ -324,8 +330,13 @@ class Machine:
         self._sync_event(main, "begin", "main", 0)
         main.generator = self._new_executor(main).run_process(main_def, [])
 
+        ready: list[Process] = []
         while True:
-            ready = [p for p in self.processes.values() if p.state is ProcState.READY]
+            if self._ready_flag.stale:
+                # The seeded pick indexes this list, so it must be exactly
+                # the READY processes in pid order (DESIGN §3.4).
+                ready = [p for p in self.processes.values() if p.state is ProcState.READY]
+                self._ready_flag.stale = False
             if not ready:
                 blocked = [
                     p for p in self.processes.values() if p.state is ProcState.BLOCKED
@@ -445,6 +456,7 @@ class Machine:
     def _on_process_exit(self, process: Process) -> None:
         end_node = self._sync_event(process, "end", process.proc_name, 0)
         process.state = ProcState.DONE
+        self._ready_flag.stale = True
         if process.parent is None:
             return
         parent = self.processes[process.parent]

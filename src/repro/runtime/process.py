@@ -31,6 +31,21 @@ class Frame:
     enter_uid: int = -1  # trace uid of this frame's EV_ENTER event
 
 
+class ReadyFlag:
+    """Set whenever a process enters or leaves READY.
+
+    The machine owns one, hands it to each process it creates, and clears
+    it when it rebuilds its ready list.  It holds no process, so a process
+    can point at it without a reference cycle that would keep a finished
+    machine, logs and all, alive until the cyclic collector runs.
+    """
+
+    __slots__ = ("stale",)
+
+    def __init__(self) -> None:
+        self.stale = True
+
+
 class Process:
     """One PCL process: interpreter generator plus bookkeeping.
 
@@ -39,7 +54,13 @@ class Process:
     which is how the virtual machine models SMMP interleaving.
     """
 
-    def __init__(self, pid: int, proc_name: str, parent: Optional[int]) -> None:
+    def __init__(
+        self,
+        pid: int,
+        proc_name: str,
+        parent: Optional[int],
+        ready_flag: Optional[ReadyFlag] = None,
+    ) -> None:
         self.pid = pid
         self.proc_name = proc_name
         self.parent = parent
@@ -66,6 +87,9 @@ class Process:
         self.pending_sync_uids: list[int] = []
         #: active rendezvous exchanges this process is serving, innermost last
         self.rendezvous_stack: list = []
+        #: our machine's flag; :meth:`block` and :meth:`wake` set it, since
+        #: they move us out of or into READY
+        self.ready_flag = ready_flag or ReadyFlag()
 
     @property
     def frame(self) -> Frame:
@@ -73,12 +97,14 @@ class Process:
 
     def block(self, reason: str, node_id: int = 0) -> None:
         self.state = ProcState.BLOCKED
+        self.ready_flag.stale = True
         self.block_reason = reason
         self.blocked_on_node = node_id
 
     def wake(self, source_uid: int, clock: VectorClock, value: Any = None) -> None:
         """Mark READY and record the causal source of the wake-up."""
         self.state = ProcState.READY
+        self.ready_flag.stale = True
         self.block_reason = ""
         self.wake_sources.append(source_uid)
         self.wake_clocks.append(clock.copy())

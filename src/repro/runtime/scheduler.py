@@ -34,23 +34,20 @@ class Scheduler:
 
         Runs the previous pick for up to ``quantum`` consecutive steps (a
         cheap model of time slices), then switches uniformly at random.
+        *ready* must be every READY process in pid order, so a READY
+        previous pick is always a member of it.
         """
         if (
             self._current is not None
             and self._remaining > 0
             and self._current.state is ProcState.READY
-            and self._current in ready
         ):
             self._remaining -= 1
             return self._current
         choice = ready[self.rng.randrange(len(ready))] if len(ready) > 1 else ready[0]
         if choice is not self._current:
             self.context_switches += 1
-            if (
-                self._current is not None
-                and self._current.state is ProcState.READY
-                and self._current in ready
-            ):
+            if self._current is not None and self._current.state is ProcState.READY:
                 self.preemptions += 1
         self._current = choice
         self._remaining = self.quantum - 1

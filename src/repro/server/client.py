@@ -264,10 +264,11 @@ class DebugClient:
         *,
         seed: int = 0,
         inputs: Optional[list[Any]] = None,
-        engine: str = "interp",
+        engine: Optional[str] = None,
     ) -> "RemoteSession":
         """Upload a PCL program; the server runs it (logged) and opens a
-        session over the execution record."""
+        session over the execution record, on *engine* or, by default,
+        the server's default engine."""
         response = self.call(
             "open", program=source, seed=seed, inputs=inputs, engine=engine
         )

@@ -64,13 +64,13 @@ class _Entry:
     origin: str
     spill_path: str
     cli: Optional[PPDCommandLine]
+    engine: str
     journal: list[str] = field(default_factory=list)
     lock: threading.RLock = field(default_factory=threading.RLock)
     created: float = 0.0
     last_used: float = 0.0
     rehydrations: int = 0
     commands: int = 0
-    engine: str = "interp"
 
 
 def _close_pool(cli: Optional[PPDCommandLine]) -> None:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro import compile_program, Machine
-from repro.core import PPDCommandLine
-from repro.runtime import run_program
+from repro import compile_program, Machine, perf
+from repro.core import PPDCommandLine, cli as cli_module
+from repro.runtime import machine as machine_module, run_program, save_record
+from repro.runtime.machine import DEFAULT_ENGINE
 from repro.workloads import bank_race, buggy_average, dining_philosophers, nested_calls
 
 
@@ -167,3 +168,64 @@ class TestParallelCommands:
         record = run_program(nested_calls(), seed=0)
         cli = PPDCommandLine(record)
         assert "completed normally" in cli.execute("where")
+
+
+#: (extra argv, engine the run must get): no flag means DEFAULT_ENGINE
+ENGINE_CASES = [([], DEFAULT_ENGINE), (["--engine", "interp"], "interp")]
+
+
+class TestEngineDefault:
+    """Without ``--engine``, ``replay``, ``localize`` and ``connect`` run
+    on :data:`DEFAULT_ENGINE`; ``--engine interp`` still selects the
+    interpreter."""
+
+    @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
+    def test_replay_engine(self, tmp_path, monkeypatch, flags, expected):
+        path = tmp_path / "run.ppd.json"
+        save_record(run_program(bank_race(2, 1), seed=0), str(path))
+        engines = []
+
+        class SpyPool(perf.ReplayPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self.engine)
+
+        monkeypatch.setattr(perf, "ReplayPool", SpyPool)
+        assert cli_module.main(["replay", str(path), "--jobs", "1"] + flags) == 0
+        assert engines == [expected]
+
+    @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
+    def test_localize_engine(self, tmp_path, monkeypatch, flags, expected):
+        path = tmp_path / "prog.pcl"
+        path.write_text(nested_calls())
+        engines = []
+
+        class SpyMachine(machine_module.Machine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self.engine)
+
+        monkeypatch.setattr(machine_module, "Machine", SpyMachine)
+        cli_module.main(["localize", str(path)] + flags)
+        assert engines == [expected]
+
+    @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
+    def test_connect_engine(self, tmp_path, monkeypatch, flags, expected):
+        from repro.server import DebugService
+
+        path = tmp_path / "prog.pcl"
+        path.write_text(nested_calls())
+        service = DebugService(port=0, spool_dir=str(tmp_path / "spool"))
+        host, port = service.start()
+        engines = []
+
+        def fake_repl(execute, banner):
+            engines.extend(entry["engine"] for entry in service.sessions.list_info())
+
+        monkeypatch.setattr(cli_module, "_repl", fake_repl)
+        try:
+            argv = ["connect", f"{host}:{port}", "--program", str(path)]
+            assert cli_module.main(argv + flags) == 0
+        finally:
+            service.shutdown()
+        assert engines == [expected]

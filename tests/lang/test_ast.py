@@ -1,7 +1,10 @@
 """AST helper tests: traversal, numbering, read-set extraction."""
 
+import dataclasses
+
 import pytest
 
+from repro import workloads
 from repro.lang import ast, parse
 
 
@@ -32,6 +35,36 @@ class TestTraversal:
         assert all(
             isinstance(c, (ast.SharedDecl, ast.ProcDef)) for c in children
         )
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            SOURCE,
+            workloads.fig41_program(),
+            workloads.rpc_server(),
+            workloads.ring_allreduce(4),
+            workloads.dining_philosophers(3),
+        ],
+    )
+    def test_walk_is_recursive_preorder(self, source):
+        """The explicit-stack walk visits nodes in the order of the plain
+        recursive pre-order walk over every dataclass field."""
+
+        def children(node):
+            for f in dataclasses.fields(node):
+                value = getattr(node, f.name)
+                items = value if isinstance(value, list) else [value]
+                yield from (item for item in items if isinstance(item, ast.Node))
+
+        def reference(node):
+            yield node
+            for child in children(node):
+                yield from reference(child)
+
+        program = parse(source)
+        assert [id(n) for n in ast.walk(program)] == [id(n) for n in reference(program)]
+        for node in reference(program):
+            assert [id(c) for c in ast.iter_child_nodes(node)] == [id(c) for c in children(node)]
 
     def test_walk_statements_excludes_expressions(self):
         program = parse(SOURCE)

@@ -53,7 +53,7 @@ def test_default_engine_is_recorded(tmp_path):
     try:
         sid, _ = mgr.open_program(buggy_average(5), seed=0, inputs=AVG_INPUTS)
         entry = next(e for e in mgr.list_info() if e["session"] == sid)
-        assert entry["engine"] == "interp"
+        assert entry["engine"] == "vm"
     finally:
         mgr.close_all()
 
