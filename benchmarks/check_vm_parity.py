@@ -6,9 +6,11 @@ Usage::
     python benchmarks/check_vm_parity.py [--seed N] [--trace/--no-trace]
 
 Every workload in :mod:`repro.workloads` and every ``examples/*.pcl``
-program is executed twice — once with ``engine="interp"``, once with
-``engine="vm"`` — under identical seeds, modes, and inputs.  For each
-pair the gate diffs three surfaces:
+program is executed three times under identical seeds, modes, and
+inputs: on the tree-walking interpreter (the oracle), on the VM's raw
+bytecode (``fastpath=False``), and on the VM with its verified fast path
+(``fastpath=True``, the configuration every command runs).  Each VM run
+is diffed against the oracle on three surfaces:
 
 * the **persisted record** (``record_to_json``: logs, sync history,
   final shared state, failure/deadlock info, process metadata);
@@ -38,7 +40,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import Machine, compile_program, obs  # noqa: E402
 from repro.obs.report import deterministic_counters, strip_meta_counters  # noqa: E402
-from repro.runtime.machine import DEFAULT_FASTPATH  # noqa: E402
 from repro.runtime.persist import record_to_json  # noqa: E402
 from repro import workloads  # noqa: E402
 
@@ -81,7 +82,14 @@ def example_programs() -> dict[str, tuple[str, list | None]]:
     return found
 
 
-def observe(source, seed, mode, trace, inputs, engine):
+#: (label, Machine keyword arguments) of each VM configuration checked
+VM_CONFIGS = [
+    ("vm fastpath=off", {"engine": "vm", "fastpath": False}),
+    ("vm fastpath=on", {"engine": "vm", "fastpath": True}),
+]
+
+
+def observe(source, seed, mode, trace, inputs, **config):
     """One run -> (record surface, event surface, counter surface)."""
     compiled = compile_program(source)
     with obs.capture() as registry:
@@ -91,7 +99,7 @@ def observe(source, seed, mode, trace, inputs, engine):
             mode=mode,
             trace=trace,
             inputs=list(inputs) if inputs else None,
-            engine=engine,
+            **config,
         ).run()
         # Fast-path/effect tallies legitimately differ per engine
         # configuration; everything else must match to the byte.
@@ -154,23 +162,24 @@ def main(argv: list[str]) -> int:
     runs = failures = 0
     for name, (source, inputs) in programs.items():
         for mode, trace in configs:
-            runs += 1
-            interp = observe(source, args.seed, mode, trace, inputs, "interp")
-            vm = observe(source, args.seed, mode, trace, inputs, "vm")
-            problems = diff_surfaces(interp, vm)
-            if problems:
-                failures += 1
-                print(f"DIVERGED {name} [mode={mode} trace={trace}]")
-                for line in problems[:8]:
-                    print(f"    {line}")
-            else:
-                print(f"ok {name} [mode={mode} trace={trace}]")
+            interp = observe(source, args.seed, mode, trace, inputs, engine="interp")
+            for label, config in VM_CONFIGS:
+                runs += 1
+                vm = observe(source, args.seed, mode, trace, inputs, **config)
+                problems = diff_surfaces(interp, vm)
+                where = f"{name} [{label} mode={mode} trace={trace}]"
+                if problems:
+                    failures += 1
+                    print(f"DIVERGED {where}")
+                    for line in problems[:8]:
+                        print(f"    {line}")
+                else:
+                    print(f"ok {where}")
     verdict = "FAIL" if failures else "PASS"
-    fastpath = "on" if DEFAULT_FASTPATH else "off"
     print(
-        f"\nvm parity gate: {verdict} — {runs - failures}/{runs} run pairs "
-        f"identical across {len(programs)} programs "
-        f"(seed={args.seed}, fastpath={fastpath})"
+        f"\nvm parity gate: {verdict} — {runs - failures}/{runs} comparisons "
+        f"identical across {len(programs)} programs, fast path off and on "
+        f"(seed={args.seed})"
     )
     return 1 if failures else 0
 

@@ -60,8 +60,8 @@ Counter catalogue (names are a stable API; see README "Observability"):
 ``perf.pool.executed``           replays actually executed (not cache-served)
 ``perf.pool.chunks``             cost-balanced worker chunks dispatched (batching)
 ``perf.pool.bytes_shipped``      record bytes shipped to workers at pool init
-                                 (+ ``{transport=shm|pipe}``) — the zero-copy win:
-                                 shm ships segment *names*, pipe ships the blob
+                                 (+ ``{transport=shm}``) — the zero-copy win:
+                                 workers get segment *names*, not the record
 ``perf.pool.fallbacks``          pool degradations to in-process serial replay
                                  (+ ``{cause=...}`` naming why)
 ``perf.pool.seconds``            timer: wall time per replay batch
@@ -312,7 +312,7 @@ def on_replay_pool(
 def on_pool_transport(transport: str, nbytes: int) -> None:
     """Record bytes shipped to a fresh executor's workers (pool init or
     respawn).  The shm transport ships segment *names* — a few dozen
-    bytes — where the pipe fallback ships the whole pickled record."""
+    bytes — never the pickled record itself."""
     with _perf_lock:
         registry.counter("perf.pool.bytes_shipped").inc(nbytes)
         registry.counter("perf.pool.bytes_shipped", transport=transport).inc(nbytes)

@@ -14,9 +14,10 @@ The dispatch pipeline (DESIGN §3.15):
   respawned worker (after ``pool.crash``/``pool.hang`` faults) re-attaches
   the same segment, so recovery never re-serializes the record.  The
   parent owns the segment and guarantees the unlink — on ``close()``, on
-  permanent degradation, and via a finalizer.  Where POSIX shared memory
-  is unavailable the pool falls back to the old pipe transport
-  (``describe()["transport"]`` says which).
+  permanent degradation, and via a finalizer.  If the segment cannot be
+  created, the pool takes the same permanent-inline path as any other
+  start failure (a counted ``pool-start-failed`` fallback); it never
+  ships the record by pickle.
 * **Cost-balanced chunks.**  Intervals are grouped into at most
   ``jobs × 2`` chunks by an LPT greedy packing over per-interval cost:
   measured replay wall seconds where the attached cache has history
@@ -62,7 +63,6 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from ..faults import state as _flt
 from ..obs import hooks as _obs
-from ..runtime.machine import resolve_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.emulation import EmulationPackage, ReplayResult
@@ -102,22 +102,14 @@ def default_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
-def _init_worker_shm(segment_name: str, engine: Optional[str] = None) -> None:
-    """Pool initializer, shm transport: attach the parent's segment and
-    unpickle the record straight out of the mapping (zero-copy)."""
+def _init_worker(segment_name: str) -> None:
+    """Pool initializer: attach the parent's segment and unpickle the
+    record straight out of the mapping (zero-copy)."""
     global _WORKER_PACKAGE
     from ..core.emulation import EmulationPackage
     from .shm import load_pickled
 
-    _WORKER_PACKAGE = EmulationPackage(load_pickled(segment_name), engine=engine)
-
-
-def _init_worker_pipe(blob: bytes, engine: Optional[str] = None) -> None:
-    """Pool initializer, pipe fallback: unpickle the shipped record."""
-    global _WORKER_PACKAGE
-    from ..core.emulation import EmulationPackage
-
-    _WORKER_PACKAGE = EmulationPackage(pickle.loads(blob), engine=engine)
+    _WORKER_PACKAGE = EmulationPackage(load_pickled(segment_name))
 
 
 def _replay_chunk(
@@ -214,7 +206,6 @@ class ReplayPool:
         record: "ExecutionRecord",
         jobs: Union[int, str, None] = None,
         cache: Optional["ReplayCache"] = None,
-        engine: Optional[str] = None,
         max_respawns: int = 2,
         retry_backoff_s: float = 0.05,
         worker_timeout_s: Optional[float] = 60.0,
@@ -226,7 +217,6 @@ class ReplayPool:
         else:
             self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.engine = resolve_engine(engine)
         #: How many times a dead/hung executor is rebuilt before the pool
         #: permanently degrades to inline replay for this record.
         self.max_respawns = max(0, max_respawns)
@@ -243,8 +233,6 @@ class ReplayPool:
         self._broken = False
         self._local: Optional["EmulationPackage"] = None
         self._segment: Optional["RecordSegment"] = None
-        self._shm_failed = False
-        self._pipe_blob: Optional[bytes] = None
         self._costs: dict[tuple[int, int], int] = {}
         self.transport = ""
         self.batches = 0
@@ -488,7 +476,7 @@ class ReplayPool:
         if self._local is None:
             from ..core.emulation import EmulationPackage
 
-            self._local = EmulationPackage(self.record, engine=self.engine)
+            self._local = EmulationPackage(self.record)
         started = time.perf_counter()
         result = self._local.replay(
             pid, interval_id, uid_base=0, prelog_overrides=overrides
@@ -503,40 +491,17 @@ class ReplayPool:
     # Executor + transport lifecycle
     # ------------------------------------------------------------------
 
-    def _record_payload(self) -> bytes:
-        if self._pipe_blob is None:
-            self._pipe_blob = pickle.dumps(
-                self.record, protocol=pickle.HIGHEST_PROTOCOL
+    def _segment_name(self) -> str:
+        """The shared segment holding the pickled record.  Created on
+        first use; respawns reuse it, so recovery never re-serializes
+        the record."""
+        if self._segment is None:
+            from .shm import RecordSegment
+
+            self._segment = RecordSegment(
+                pickle.dumps(self.record, protocol=pickle.HIGHEST_PROTOCOL)
             )
-        return self._pipe_blob
-
-    def _transport(self) -> tuple[Any, tuple, int]:
-        """(initializer, initargs, bytes shipped per worker) for the best
-        available transport.  Creates the shared segment on first use;
-        respawns reuse it, so recovery never re-serializes the record."""
-        if self._segment is None and not self._shm_failed:
-            from .shm import shm_available
-
-            if shm_available():
-                try:
-                    from .shm import RecordSegment
-
-                    self._segment = RecordSegment(self._record_payload())
-                    self._pipe_blob = None  # the segment holds the bytes now
-                except (OSError, ValueError):
-                    self._shm_failed = True
-            else:  # pragma: no cover - non-POSIX builds
-                self._shm_failed = True
-        if self._segment is not None:
-            self.transport = "shm"
-            return (
-                _init_worker_shm,
-                (self._segment.name, self.engine),
-                len(self._segment.name),
-            )
-        self.transport = "pipe"
-        blob = self._record_payload()
-        return _init_worker_pipe, (blob, self.engine), len(blob)
+        return self._segment.name
 
     def _ensure_executor(self) -> Optional[ProcessPoolExecutor]:
         if self._executor is not None:
@@ -544,20 +509,19 @@ class ReplayPool:
         if self._broken:
             return None
         try:
-            initializer, initargs, per_worker = self._transport()
+            name = self._segment_name()
             self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=initializer,
-                initargs=initargs,
+                max_workers=self.jobs, initializer=_init_worker, initargs=(name,)
             )
         except (OSError, ValueError, pickle.PicklingError, BrokenExecutor):
-            # Workers cannot be created at all (restricted sandbox, record
-            # not picklable): permanently inline for this pool.
+            # Workers cannot be created at all (restricted sandbox, no
+            # shared memory, record not picklable): permanently inline.
             self._broken = True
             self._teardown_executor()
             self._release_segment()
             return self._executor
-        shipped = per_worker * self.jobs
+        self.transport = "shm"
+        shipped = len(name) * self.jobs
         self.bytes_shipped += shipped
         if _obs.enabled:
             _obs.on_pool_transport(self.transport, shipped)
@@ -598,7 +562,6 @@ class ReplayPool:
         self._teardown_executor()
         self._release_segment()
         self._local = None
-        self._pipe_blob = None
 
     def __enter__(self) -> "ReplayPool":
         return self

@@ -38,7 +38,6 @@ __all__ = [
     "attach_segment",
     "leaked_segments",
     "load_pickled",
-    "shm_available",
 ]
 
 #: Every segment this package creates carries this name prefix, so leak
@@ -50,15 +49,6 @@ SEGMENT_PREFIX = "ppd-shm-"
 _HEADER = struct.Struct("<Q")
 
 _segment_ids = itertools.count()
-
-
-def shm_available() -> bool:
-    """Whether this platform/interpreter supports POSIX shared memory."""
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - non-POSIX builds
-        return False
-    return True
 
 
 def _destroy(shm: Any, nbytes: int) -> None:

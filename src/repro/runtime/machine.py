@@ -18,7 +18,6 @@ sync edges, vector clocks): that is VM semantics, not instrumentation.
 
 from __future__ import annotations
 
-import os
 import random
 import sys
 import time as _time
@@ -154,10 +153,10 @@ class ExecutionRecord:
         return sum(len(log) for log in self.logs.values())
 
 
-#: Process-wide default execution engine; ``engine=None`` anywhere
-#: resolves to this.  The bytecode VM (with its verified fast path) runs
-#: by default; ``"interp"`` selects the tree-walking interpreter, kept as
-#: the differential oracle the vm-parity gate checks the VM against.  The
+#: Process-wide default execution engine.  The bytecode VM (with its
+#: verified fast path) runs by default; ``"interp"`` selects the
+#: tree-walking interpreter, kept only as the differential oracle the
+#: vm-parity gate and the parity tests check the VM against.  The
 #: benchmarks' ``--engine`` flag flips it for a whole sweep.
 DEFAULT_ENGINE = "vm"
 
@@ -173,37 +172,10 @@ def resolve_engine(engine: Optional[str]) -> str:
 
 
 def set_default_engine(engine: str) -> None:
-    """Set the engine that ``engine=None`` resolves to (e.g. from a CLI
-    or benchmark ``--engine`` flag)."""
+    """Set the engine that ``engine=None`` resolves to (the benchmarks'
+    ``--engine`` flag)."""
     global DEFAULT_ENGINE
-    if engine not in ("interp", "vm"):
-        raise ValueError(f"unknown engine {engine!r}")
-    DEFAULT_ENGINE = engine
-
-
-def _fastpath_from_env() -> bool:
-    value = os.environ.get("PPD_VM_FASTPATH")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "off", "no", "false")
-
-
-#: Process-wide default for the VM's verified fast path (effect-proven
-#: yield elision + superinstruction fusion); ``fastpath=None`` resolves
-#: to this.  On by default; ``PPD_VM_FASTPATH=off`` (or 0/no/false)
-#: disables it — the vm-parity CI job runs the full matrix both ways.
-DEFAULT_FASTPATH = _fastpath_from_env()
-
-
-def resolve_fastpath(fastpath: Optional[bool]) -> bool:
-    """Default ``None`` to the process-wide :data:`DEFAULT_FASTPATH`."""
-    return DEFAULT_FASTPATH if fastpath is None else bool(fastpath)
-
-
-def set_default_fastpath(fastpath: bool) -> None:
-    """Set what ``fastpath=None`` resolves to (CLI / benchmark flags)."""
-    global DEFAULT_FASTPATH
-    DEFAULT_FASTPATH = bool(fastpath)
+    DEFAULT_ENGINE = resolve_engine(engine)
 
 
 class Machine:
@@ -223,7 +195,7 @@ class Machine:
         interventions: Optional[dict[tuple[int, int], list[tuple[str, Any]]]] = None,
         breakpoints: Optional[set[str]] = None,
         engine: Optional[str] = None,
-        fastpath: Optional[bool] = None,
+        fastpath: bool = True,
     ) -> None:
         if mode not in ("plain", "logged"):
             raise ValueError(f"unknown mode {mode!r}")
@@ -231,8 +203,10 @@ class Machine:
         self.mode = mode
         self.engine = resolve_engine(engine)
         #: the verified fast path is a VM-only rewrite; the interpreter
-        #: never sees fused code, so the flag is inert there
-        self.fastpath = self.engine == "vm" and resolve_fastpath(fastpath)
+        #: never sees fused code, so the flag is inert there.  ``engine`` and
+        #: ``fastpath=False`` are the differential-oracle hooks: every layer
+        #: above the machine runs the default, the VM with its fast path.
+        self.fastpath = self.engine == "vm" and fastpath
         #: set per run-loop iteration: True while the schedule is
         #: pre-committed to the sole READY process (elision window)
         self.fastpath_commit = False
@@ -1234,7 +1208,6 @@ def run_program(
     quantum: int = 1,
     max_steps: int = 2_000_000,
     policy=None,
-    engine: Optional[str] = None,
 ) -> ExecutionRecord:
     """Compile (if needed) and run a PCL program in one call."""
     from ..compiler.compile import compile_program
@@ -1252,6 +1225,5 @@ def run_program(
         input_seed=input_seed,
         quantum=quantum,
         max_steps=max_steps,
-        engine=engine,
     )
     return machine.run()

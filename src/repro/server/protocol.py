@@ -275,10 +275,5 @@ def validate_request(request: Request) -> None:
                 "bad-request",
                 "open requires exactly one of program/record_json/record_path",
             )
-        engine = request.payload.get("engine")
-        if engine is not None and engine not in ("interp", "vm"):
-            raise ProtocolError(
-                "bad-request", "open 'engine' must be 'interp' or 'vm'"
-            )
     if request.op == "close" and request.session is None:
         raise ProtocolError("bad-request", "close requires a 'session'")

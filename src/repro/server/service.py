@@ -131,8 +131,14 @@ class DebugService:
         self._closing.set()
 
     def wait_for_shutdown(self) -> None:
-        """Block until a shutdown is requested, then drain fully."""
-        self._closing.wait()
+        """Block until a shutdown is requested, then drain fully.
+
+        The wait is timed so the main thread returns to the interpreter
+        loop twice a second: a SIGTERM the kernel delivers to another
+        thread only flags the Python handler, which runs on the main
+        thread once it wakes."""
+        while not self._closing.wait(0.5):
+            pass
         self.shutdown()
 
     def shutdown(self, drain_timeout_s: float = 5.0) -> None:
@@ -347,7 +353,6 @@ class DebugService:
                     payload["program"],
                     seed=_int_field(payload, "seed", 0),
                     inputs=payload.get("inputs"),
-                    engine=payload.get("engine"),
                 )
             if payload.get("record_json") is not None:
                 return self.sessions.open_record_json(payload["record_json"])

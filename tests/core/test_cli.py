@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro import compile_program, Machine, perf
+from repro import compile_program, Machine
 from repro.core import PPDCommandLine, cli as cli_module
 from repro.runtime import machine as machine_module, run_program, save_record
-from repro.runtime.machine import DEFAULT_ENGINE
 from repro.workloads import bank_race, buggy_average, dining_philosophers, nested_calls
 
 
@@ -170,62 +169,70 @@ class TestParallelCommands:
         assert "completed normally" in cli.execute("where")
 
 
-#: (extra argv, engine the run must get): no flag means DEFAULT_ENGINE
-ENGINE_CASES = [([], DEFAULT_ENGINE), (["--engine", "interp"], "interp")]
+#: (extra argv, engine the run must get): the CLI has no engine flag, so
+#: every command runs the machine's default, the VM
+ENGINE_CASES = [([], "vm")]
+
+
+@pytest.fixture()
+def engines(monkeypatch):
+    """Every engine a :class:`Machine` (or replay machine) was built with."""
+    seen = []
+    original = machine_module.Machine.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        seen.append(self.engine)
+
+    monkeypatch.setattr(machine_module.Machine, "__init__", spy)
+    return seen
 
 
 class TestEngineDefault:
-    """Without ``--engine``, ``replay``, ``localize`` and ``connect`` run
-    on :data:`DEFAULT_ENGINE`; ``--engine interp`` still selects the
-    interpreter."""
+    """``replay``, ``localize`` and ``connect`` run on the bytecode VM;
+    the engine is not selectable from the command line."""
 
     @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
-    def test_replay_engine(self, tmp_path, monkeypatch, flags, expected):
+    def test_replay_engine(self, tmp_path, engines, flags, expected):
         path = tmp_path / "run.ppd.json"
         save_record(run_program(bank_race(2, 1), seed=0), str(path))
-        engines = []
-
-        class SpyPool(perf.ReplayPool):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                engines.append(self.engine)
-
-        monkeypatch.setattr(perf, "ReplayPool", SpyPool)
+        engines.clear()
         assert cli_module.main(["replay", str(path), "--jobs", "1"] + flags) == 0
-        assert engines == [expected]
+        assert engines and set(engines) == {expected}
 
     @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
-    def test_localize_engine(self, tmp_path, monkeypatch, flags, expected):
+    def test_localize_engine(self, tmp_path, engines, flags, expected):
         path = tmp_path / "prog.pcl"
         path.write_text(nested_calls())
-        engines = []
-
-        class SpyMachine(machine_module.Machine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                engines.append(self.engine)
-
-        monkeypatch.setattr(machine_module, "Machine", SpyMachine)
         cli_module.main(["localize", str(path)] + flags)
-        assert engines == [expected]
+        assert engines and set(engines) == {expected}
 
     @pytest.mark.parametrize("flags,expected", ENGINE_CASES)
-    def test_connect_engine(self, tmp_path, monkeypatch, flags, expected):
+    def test_connect_engine(self, tmp_path, monkeypatch, engines, flags, expected):
         from repro.server import DebugService
 
         path = tmp_path / "prog.pcl"
         path.write_text(nested_calls())
         service = DebugService(port=0, spool_dir=str(tmp_path / "spool"))
         host, port = service.start()
-        engines = []
-
-        def fake_repl(execute, banner):
-            engines.extend(entry["engine"] for entry in service.sessions.list_info())
-
-        monkeypatch.setattr(cli_module, "_repl", fake_repl)
+        monkeypatch.setattr(cli_module, "_repl", lambda execute, banner: None)
         try:
             argv = ["connect", f"{host}:{port}", "--program", str(path)]
             assert cli_module.main(argv + flags) == 0
         finally:
             service.shutdown()
-        assert engines == [expected]
+        assert engines and set(engines) == {expected}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "run.ppd.json"],
+            ["localize", "prog.pcl"],
+            ["connect", "127.0.0.1:1", "--program", "prog.pcl"],
+        ],
+    )
+    def test_engine_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_module.main(argv + ["--engine", "vm"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err

@@ -20,11 +20,10 @@ from repro import Machine, compile_program, obs
 from repro.core.emulation import EmulationPackage, interval_indexes
 from repro.perf import ReplayPool, default_jobs, leaked_segments
 from repro.perf.pool import _COLD_STEPS
-from repro.perf.shm import RecordSegment, load_pickled, shm_available
+from repro.perf import shm
+from repro.perf.shm import RecordSegment, load_pickled
 from repro.perf.wire import result_from_wire, result_to_wire
 from repro.workloads import fig41_program, fig61_program
-
-needs_shm = pytest.mark.skipif(not shm_available(), reason="no POSIX shared memory")
 
 
 @pytest.fixture(scope="module", params=["fig41", "fig61"])
@@ -45,7 +44,6 @@ def transcript(result):
     return [event.to_json() for event in result.events]
 
 
-@needs_shm
 class TestRecordSegment:
     def test_round_trip_and_unlink(self):
         payload = pickle.dumps({"answer": 42, "blob": list(range(1000))})
@@ -118,23 +116,43 @@ class TestWireCodec:
             assert transcript(decoded.rebased(137)) == transcript(result.rebased(137))
 
 
-@needs_shm
+def assert_matches_serial(record, requests, results):
+    package = EmulationPackage(record)
+    for (pid, interval_id), result in zip(requests, results):
+        serial = package.replay(pid, interval_id, uid_base=0)
+        assert transcript(result) == transcript(serial)
+        assert result.trace_of_sync == serial.trace_of_sync
+        assert result.final_shared == serial.final_shared
+
+
 class TestShmPool:
-    @pytest.mark.parametrize("engine", ["interp", "vm"])
-    def test_pooled_byte_identical_over_shm(self, record, engine):
-        """The tentpole invariant under the new transport, both engines."""
-        package = EmulationPackage(record, engine=engine)
+    def test_pooled_byte_identical_over_shm(self, record):
+        """The tentpole invariant under the shared-memory transport."""
         requests = all_intervals(record)
         before = leaked_segments()
-        with ReplayPool(record, jobs=2, engine=engine) as pool:
+        with ReplayPool(record, jobs=2) as pool:
             pooled = pool.replay_batch(requests)
             assert pool.describe()["transport"] == "shm"
-        for (pid, interval_id), result in zip(requests, pooled):
-            serial = package.replay(pid, interval_id, uid_base=0)
-            assert transcript(result) == transcript(serial)
-            assert result.trace_of_sync == serial.trace_of_sync
-            assert result.final_shared == serial.final_shared
+        assert_matches_serial(record, requests, pooled)
         assert leaked_segments() == before
+
+    def test_segment_failure_degrades_to_inline(self, record, monkeypatch):
+        """No shared memory: the pool replays inline, byte-identical to
+        serial, and names the cause; the record is never pickled across."""
+
+        def no_segment(payload):
+            raise OSError("no shared memory")
+
+        monkeypatch.setattr(shm, "RecordSegment", no_segment)
+        requests = all_intervals(record)
+        with ReplayPool(record, jobs=2) as pool:
+            results = pool.replay_batch(requests)
+            info = pool.describe()
+        assert_matches_serial(record, requests, results)
+        assert info["fallback_causes"] == {"pool-start-failed": 1}
+        assert info["transport"] == ""
+        assert info["bytes_shipped"] == 0
+        assert info["parallel"] is False
 
     def test_shm_ships_names_not_record_bytes(self, record):
         blob_size = len(pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL))

@@ -1,6 +1,8 @@
 """Whole-system differential parity: every shipped workload and example
 program is byte-identical under ``engine="interp"`` and ``engine="vm"``,
-and the VM can stand in for the interpreter during e-block replay."""
+and the VM can stand in for the interpreter during e-block replay (the
+interpreter selected there through the machine's ``DEFAULT_ENGINE``
+oracle hook)."""
 
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ import pytest
 
 from repro import Machine, compile_program
 from repro.core import EmulationPackage
-from repro.runtime import build_interval_index
+from repro.runtime import build_interval_index, machine
 from repro import workloads
 
 from tests.vm.util import assert_engines_agree
@@ -64,38 +66,43 @@ def test_examples_exist():
     assert len(EXAMPLES) >= 6, EXAMPLES
 
 
-def test_vm_replays_recorded_intervals():
+def replay_transcripts(record):
+    """Every closed interval of *record*, replayed by a fresh package."""
+    package = EmulationPackage(record)
+    transcripts = []
+    for pid, log in sorted(record.logs.items()):
+        for info in build_interval_index(log).values():
+            if info.is_open:
+                continue
+            result = package.replay(pid, info.interval_id, uid_base=0)
+            transcripts.append(
+                (
+                    pid,
+                    info.interval_id,
+                    result.halted,
+                    result.failure_message,
+                    [event.to_json() for event in result.events],
+                    sorted(result.final_shared.items()),
+                    result.diagnostics,
+                )
+            )
+    return transcripts
+
+
+def test_vm_replays_recorded_intervals(monkeypatch):
     """A record produced by the interpreter replays identically when the
     emulation package re-executes its e-blocks on the VM."""
     source, inputs = WORKLOADS["producer_consumer"]
-    record = Machine(compile_program(source), seed=0, mode="logged", inputs=inputs).run()
-    by_engine = {}
-    for engine in ("interp", "vm"):
-        package = EmulationPackage(record, engine=engine)
-        transcripts = []
-        for pid, log in sorted(record.logs.items()):
-            for info in build_interval_index(log).values():
-                if info.is_open:
-                    continue
-                result = package.replay(pid, info.interval_id, uid_base=0)
-                transcripts.append(
-                    (
-                        pid,
-                        info.interval_id,
-                        result.halted,
-                        result.failure_message,
-                        [event.to_json() for event in result.events],
-                        sorted(result.final_shared.items()),
-                        result.diagnostics,
-                    )
-                )
-        by_engine[engine] = transcripts
-    assert by_engine["interp"] == by_engine["vm"]
+    record = Machine(
+        compile_program(source), seed=0, mode="logged", inputs=inputs, engine="interp"
+    ).run()
+    with monkeypatch.context() as patch:
+        patch.setattr(machine, "DEFAULT_ENGINE", "interp")
+        interp = replay_transcripts(record)
+    assert interp == replay_transcripts(record)
 
 
 def test_engine_validation():
     compiled = compile_program(WORKLOADS["fig41"][0])
     with pytest.raises(ValueError):
         Machine(compiled, engine="jit")
-    with pytest.raises(ValueError):
-        EmulationPackage(Machine(compiled, seed=0, mode="logged").run(), engine="jit")
